@@ -51,7 +51,11 @@ class _Parser(argparse.ArgumentParser):
 def _read_stream(path: str, fmt: str) -> bytes:
     if fmt == "hex":
         with open(path) as fh:
-            return bytes.fromhex("".join(fh.read().split()))
+            text = "".join(fh.read().split())
+        try:
+            return bytes.fromhex(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a hex stream: {exc}") from exc
     with open(path, "rb") as fh:
         return fh.read()
 

@@ -1,4 +1,4 @@
-"""Parametric bit-serial CRC engine and its exact algebraic structure.
+"""Parametric CRC register engine and its exact algebraic structure.
 
 The register update is affine over GF(2): running n data bits from state s
 lands on ``state_transition(s, n) ^ (data @ generator_matrix(n))``, where
@@ -8,12 +8,19 @@ matrix is invertible for any polynomial with a constant term, an unknown
 R-bit block is recoverable from the register states that bracket it; that
 single fact powers the whole demodulator.
 
+Every register run, forward or rewound, with data or over zeros, goes
+through one linear-time engine: byte-wise table lookup for whole bytes and
+the bit-serial rule for the bits that do not fill a byte. Generator
+matrices exist for the block solve and the algebra's tests, never for
+stepping.
+
 All register math runs MSB-first (left-shift register). The ``reflected``
 flag only changes bit mapping at the fcs() value boundary and at frame
 serialization; it never leaks into the algebra.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,8 +95,8 @@ def spec_from_config(cfg: dict) -> CrcSpec:
         raise ValueError(f"crc config missing required key {exc}") from exc
 
 
-def _forward_int(width: int, poly: int, reg: int, data: int, n: int) -> int:
-    """Raw register evolution over n MSB-first data bits."""
+def _step_bits(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Bit-serial register rule over the n low bits of data, MSB first."""
     mask = (1 << width) - 1
     shift_out = width - 1
     for i in range(n - 1, -1, -1):
@@ -100,8 +107,8 @@ def _forward_int(width: int, poly: int, reg: int, data: int, n: int) -> int:
     return reg
 
 
-def _reverse_int(width: int, poly: int, reg: int, data: int, n: int) -> int:
-    """Exact inverse of _forward_int over the same data bits."""
+def _unstep_bits(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Exact inverse of _step_bits over the same data bits."""
     top = width - 1
     for i in range(n):
         bit = (data >> i) & 1
@@ -109,6 +116,53 @@ def _reverse_int(width: int, poly: int, reg: int, data: int, n: int) -> int:
             reg = ((reg ^ poly) >> 1) | ((bit ^ 1) << top)
         else:
             reg = (reg >> 1) | (bit << top)
+    return reg
+
+
+@lru_cache(maxsize=16)
+def _tables(width: int, poly: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the register (Sarwate, CACM 1988), cached per (width, poly).
+
+    ``forward[b]`` is the register after running byte b from the zero state.
+    Rewinding a byte is linear in register and data alike: ``rewind[s]``
+    undoes eight zero steps from the low byte s, and ``unrun[b]`` undoes
+    byte b from the zero state. Both exist only when the polynomial has a
+    constant term; without one they are empty.
+    """
+    forward = tuple(_step_bits(width, poly, 0, b, 8) for b in range(256))
+    if not poly & 1:
+        return forward, (), ()
+    rewind = tuple(_unstep_bits(width, poly, s, 0, 8) for s in range(1 << min(width, 8)))
+    unrun = tuple(_unstep_bits(width, poly, 0, b, 8) for b in range(256))
+    return forward, rewind, unrun
+
+
+def _run_forward(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Raw register evolution over n MSB-first data bits, in O(n).
+
+    Whole bytes go through the forward table; the n % 8 bits that do not
+    fill a byte are stepped bit-serially at the end.
+    """
+    forward = _tables(width, poly)[0]
+    mask = (1 << width) - 1
+    tail = n % 8
+    for byte in (data >> tail).to_bytes(n // 8, "big"):
+        reg <<= 8
+        reg = (reg & mask) ^ forward[(reg >> width) ^ byte]
+    return _step_bits(width, poly, reg, data & 0xFF, tail)
+
+
+def _run_reverse(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Exact inverse of _run_forward over the same data bits, in O(n)."""
+    _, rewind, unrun = _tables(width, poly)
+    if not rewind:
+        raise ValueError(
+            "polynomial has no constant term; register steps cannot be rewound"
+        )
+    tail = n % 8
+    reg = _unstep_bits(width, poly, reg, data & 0xFF, tail)
+    for byte in reversed((data >> tail).to_bytes(n // 8, "big")):
+        reg = (reg >> 8) ^ rewind[reg & 0xFF] ^ unrun[byte]
     return reg
 
 
@@ -127,7 +181,7 @@ def crc_forward(spec: CrcSpec, start: BitVector, data: BitVector) -> BitVector:
     """
     _check_state(spec, start, "start state")
     return BitVector(
-        _forward_int(spec.width, spec.poly, start.value, data.value, len(data)),
+        _run_forward(spec.width, spec.poly, start.value, data.value, len(data)),
         spec.width,
     )
 
@@ -135,64 +189,10 @@ def crc_forward(spec: CrcSpec, start: BitVector, data: BitVector) -> BitVector:
 def crc_reverse(spec: CrcSpec, end: BitVector, data: BitVector) -> BitVector:
     """Rewind the register: the exact inverse of crc_forward over ``data``."""
     _check_state(spec, end, "end state")
-    if not spec.poly & 1:
-        raise ValueError(
-            "polynomial has no constant term; register steps cannot be rewound"
-        )
     return BitVector(
-        _reverse_int(spec.width, spec.poly, end.value, data.value, len(data)),
+        _run_reverse(spec.width, spec.poly, end.value, data.value, len(data)),
         spec.width,
     )
-
-
-def _step_zero(spec: CrcSpec, reg: int) -> int:
-    if (reg >> (spec.width - 1)) & 1:
-        return ((reg << 1) ^ spec.poly) & spec.mask
-    return (reg << 1) & spec.mask
-
-
-@lru_cache(maxsize=None)
-def step_matrix(spec: CrcSpec) -> BitMatrix:
-    """One zero-input register step as a row-vector transition matrix."""
-    w = spec.width
-    return BitMatrix(
-        (_step_zero(spec, 1 << (w - 1 - j)) for j in range(w)), w
-    )
-
-
-@lru_cache(maxsize=None)
-def _step_matrix_inverse(spec: CrcSpec) -> BitMatrix:
-    try:
-        return step_matrix(spec).invert()
-    except SingularMatrixError as exc:
-        raise ValueError(
-            "polynomial has no constant term; zero-input steps cannot be rewound"
-        ) from exc
-
-
-@lru_cache(maxsize=None)
-def _power_matrix(spec: CrcSpec, n: int) -> BitMatrix:
-    return step_matrix(spec) ** n
-
-
-@lru_cache(maxsize=None)
-def _power_matrix_inverse(spec: CrcSpec, n: int) -> BitMatrix:
-    return _step_matrix_inverse(spec) ** n
-
-
-def _transition_serial(spec: CrcSpec, state: BitVector, n: int) -> BitVector:
-    return BitVector(
-        _forward_int(spec.width, spec.poly, state.value, 0, n), spec.width
-    )
-
-
-def _transition_matrix(spec: CrcSpec, state: BitVector, n: int) -> BitVector:
-    return state @ _power_matrix(spec, n)
-
-
-# Bit-serial stepping wins below this length; above it, square-and-multiply
-# on the transition matrix is O(width^3 log n).
-_SERIAL_CUTOFF = 64
 
 
 def state_transition(spec: CrcSpec, state: BitVector, n: int) -> BitVector:
@@ -200,9 +200,7 @@ def state_transition(spec: CrcSpec, state: BitVector, n: int) -> BitVector:
     _check_state(spec, state, "state")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    if n <= _SERIAL_CUTOFF:
-        return _transition_serial(spec, state, n)
-    return _transition_matrix(spec, state, n)
+    return BitVector(_run_forward(spec.width, spec.poly, state.value, 0, n), spec.width)
 
 
 def state_transition_inverse(spec: CrcSpec, state: BitVector, n: int) -> BitVector:
@@ -210,12 +208,9 @@ def state_transition_inverse(spec: CrcSpec, state: BitVector, n: int) -> BitVect
     _check_state(spec, state, "state")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    if n <= _SERIAL_CUTOFF:
-        return crc_reverse(spec, state, BitVector.zeros(n))
-    return state @ _power_matrix_inverse(spec, n)
+    return BitVector(_run_reverse(spec.width, spec.poly, state.value, 0, n), spec.width)
 
 
-@lru_cache(maxsize=None)
 def generator_matrix(spec: CrcSpec, n: int) -> BitMatrix:
     """n x width matrix G with crc_forward(zero, D) == D @ G for n-bit D.
 
@@ -229,7 +224,7 @@ def generator_matrix(spec: CrcSpec, n: int) -> BitMatrix:
     state = spec.poly
     rows[n - 1] = state
     for i in range(n - 2, -1, -1):
-        state = _step_zero(spec, state)
+        state = _step_bits(spec.width, spec.poly, state, 0, 1)
         rows[i] = state
     return BitMatrix(rows, spec.width)
 
@@ -248,7 +243,7 @@ def decompose_check(spec: CrcSpec, init: BitVector, data: BitVector) -> bool:
     return serial == drift ^ (data @ generator_matrix(spec, len(data)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _recovery_inverse(spec: CrcSpec) -> BitMatrix:
     try:
         return generator_matrix(spec, spec.width).invert()
@@ -278,15 +273,18 @@ def fcs(spec: CrcSpec, frame_bits: BitVector) -> BitVector:
 
     ``frame_bits`` is in natural order (each byte MSB-first). In reflected
     mode the register consumes each byte LSB-first and the checksum value is
-    bit-reversed, which is what wire-conformant 802.11 hardware computes.
+    bit-reversed, which is what wire-conformant 802.11 hardware computes;
+    for that preset the stdlib CRC-32 computes the same value.
     """
     if spec.reflected:
         if len(frame_bits) % 8:
             raise ValueError(
                 f"reflected mode needs whole bytes, got {len(frame_bits)} bits"
             )
+        if spec == CRC32_FCS:
+            return BitVector(zlib.crc32(frame_bits.to_bytes()), 32)
         frame_bits = frame_bits.reflect_bytes()
-    raw = _forward_int(
+    raw = _run_forward(
         spec.width, spec.poly, spec.init_xor, frame_bits.value, len(frame_bits)
     )
     out = BitVector(raw, spec.width)

@@ -1,28 +1,23 @@
 """Single-receiver demodulation of ambient and tag data from one bitstream.
 
-Per MPDU: step the register forward over the bits before the recovery
-window, rewind it from the checksum trailer over the bits after, and solve
-the bracketed window exactly with the inverse generator matrix. XOR of the
-recovered block with the received window isolates the tag's flip pattern,
-and a majority vote over the window decides the tag bit.
+Per MPDU: run the register forward over the bits before the recovery
+window, rewind it from the checksum trailer over the bits after (both
+linear-time runs of the crc engine), and solve the bracketed window
+exactly with the inverse generator matrix. XOR of the recovered block with
+the received window isolates the tag's flip pattern, and a majority vote
+over the window decides the tag bit.
 
 A brute-force demodulator (enumerate every tag candidate, un-flip, verify
 each MPDU's checksum) serves as the independent cross-check; it is
-exponential in the tag bit count where the bracketing path is linear.
+exponential in the tag bit count where the bracketing path is linear. It
+steps its registers with its own bit-serial runs and shares no register
+code with the path it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crc import (
-    CrcSpec,
-    _forward_int,
-    crc_forward,
-    generator_matrix,
-    recover_block,
-    state_transition,
-    state_transition_inverse,
-)
+from .crc import CrcSpec, crc_forward, crc_reverse, recover_block
 from .frames import (
     DEFAULT_HEADER_LEN,
     ModulationWindow,
@@ -74,24 +69,13 @@ def bracket_registers(
 ) -> tuple[BitVector, BitVector]:
     """Register states immediately before and after the recovery window.
 
-    The front register is the prefix's forward evolution from the init
-    state; the back register rewinds over the suffix from the raw final
-    register, which is the received trailer stripped of its final XOR.
-    Both are evaluated through the affine split (cached zero-input power
-    matrices plus prefix/suffix times their generator matrices), which is
-    exactly equivalent to bit-serial stepping and much faster per MPDU.
+    The front register is the prefix's forward run from the init state; the
+    back register rewinds over the suffix from the raw final register,
+    which is the received trailer stripped of its final XOR.
     """
     rec = window.recovery_range
-    prefix = mpdu_bits[: rec.start]
-    suffix = mpdu_bits[rec.stop :]
-    front = state_transition(spec, spec.init_state(), len(prefix))
-    if len(prefix):
-        front = front ^ (prefix @ generator_matrix(spec, len(prefix)))
-    back = fcs_bits ^ spec.final_vector()
-    if len(suffix):
-        back = state_transition_inverse(
-            spec, back ^ (suffix @ generator_matrix(spec, len(suffix))), len(suffix)
-        )
+    front = crc_forward(spec, spec.init_state(), mpdu_bits[: rec.start])
+    back = crc_reverse(spec, fcs_bits ^ spec.final_vector(), mpdu_bits[rec.stop :])
     return front, back
 
 
@@ -187,6 +171,32 @@ def demodulate_blind(
     return demodulate_ampdu(spec, received, windows, ampdu_layout(parsed, spec))
 
 
+def _serial_forward(spec: CrcSpec, reg: int, data: int, n: int) -> int:
+    """The oracle's own register run: one shift and tap per data bit."""
+    top, poly, mask = spec.width - 1, spec.poly, spec.mask
+    for bit in bin(data | 1 << n)[3:]:
+        if (reg >> top & 1) ^ (bit == "1"):
+            reg = ((reg << 1) ^ poly) & mask
+        else:
+            reg = (reg << 1) & mask
+    return reg
+
+
+def _serial_reverse(spec: CrcSpec, reg: int, data: int, n: int) -> int:
+    """The oracle's own register rewind: the inverse of _serial_forward."""
+    if not spec.poly & 1:
+        raise ValueError(
+            "polynomial has no constant term; register steps cannot be rewound"
+        )
+    top, poly = spec.width - 1, spec.poly
+    for bit in reversed(bin(data | 1 << n)[3:]):
+        if reg & 1:
+            reg = ((reg ^ poly) >> 1) | ((bit == "0") << top)
+        else:
+            reg = (reg >> 1) | ((bit == "1") << top)
+    return reg
+
+
 def _candidate_passes(
     spec: CrcSpec,
     front: int,
@@ -198,9 +208,9 @@ def _candidate_passes(
 
     Equivalent to recomputing the frame's checksum with the candidate
     window spliced in: prefix and suffix contributions are candidate
-    independent, so only the window span needs bit-serial stepping.
+    independent, so only the window span needs stepping.
     """
-    return _forward_int(spec.width, spec.poly, front, window_bits, n_bits) == back
+    return _serial_forward(spec, front, window_bits, n_bits) == back
 
 
 def brute_force_demodulate(
@@ -228,13 +238,17 @@ def brute_force_demodulate(
         mpdu_bits = received[sf.mpdu_start : sf.mpdu_end]
         content = mpdu_bits[: len(mpdu_bits) - width]
         fcs_field = mpdu_bits[len(mpdu_bits) - width :]
-        front, back = bracket_registers(spec, content, fcs_field, w)
         rec = w.recovery_range
+        prefix, suffix = content[: rec.start], content[rec.stop :]
+        front = _serial_forward(spec, spec.init_xor, prefix.value, len(prefix))
+        back = _serial_reverse(
+            spec, fcs_field.value ^ spec.final_xor, suffix.value, len(suffix)
+        )
         window_bits = content[rec.start : rec.stop]
         flipped = window_bits.flip_range(0, w.mod_len)
         brackets.append((front, back, (window_bits, flipped)))
     packed = [
-        (front.value, back.value, (variants[0].value, variants[1].value), width)
+        (front, back, (variants[0].value, variants[1].value), width)
         for front, back, variants in brackets
     ]
 

@@ -271,47 +271,36 @@ def ampdu_layout(ampdu: Ampdu, spec: CrcSpec) -> list[SubframeLayout]:
     return out
 
 
+def _eligible_range(
+    layout: SubframeLayout, symbol_map: SymbolMap, rec_len: int
+) -> range:
+    bps = symbol_map.bits_per_symbol
+    first = max(0, -(-(layout.body_start - symbol_map.origin) // bps))  # ceil
+    # Symbol k fits while origin + k * bps + max(bps, rec_len) <= fcs_start.
+    stop = (layout.fcs_start - symbol_map.origin - max(bps, rec_len)) // bps + 1
+    return range(first, max(first, stop))
+
+
 def eligible_symbols(
     layout: SubframeLayout, symbol_map: SymbolMap, rec_len: int
 ) -> list[int]:
     """Symbols fully inside this MPDU's body with room for the recovery window."""
-    bps = symbol_map.bits_per_symbol
-    body_start = layout.body_start
-    body_end = layout.fcs_start
-    first = -(-(body_start - symbol_map.origin) // bps)  # ceil division
-    out = []
-    k = max(0, first)
-    while True:
-        start = symbol_map.symbol_start(k)
-        if start + max(bps, rec_len) > body_end:
-            break
-        out.append(k)
-        k += 1
-    return out
+    return list(_eligible_range(layout, symbol_map, rec_len))
 
 
-def locate_window(
-    ampdu: Ampdu,
+def _window(
+    layout: SubframeLayout,
     mpdu_index: int,
     spec: CrcSpec,
-    symbol_map: SymbolMap = SymbolMap(),
-    policy: WindowPolicy = WindowPolicy(),
+    symbol_map: SymbolMap,
+    policy: WindowPolicy,
 ) -> ModulationWindow:
-    """Pick the modulated symbol for one MPDU and its recovery window.
-
-    The recovery window is spec.width bits starting at the symbol's first
-    bit; it must lie wholly inside the body, so symbols overlapping header
-    or checksum are never eligible.
-    """
-    if not 0 <= mpdu_index < len(ampdu.subframes):
-        raise IndexError(f"mpdu_index {mpdu_index} out of range")
     if symbol_map.bits_per_symbol > spec.width:
         raise ValueError(
             f"symbol of {symbol_map.bits_per_symbol} MAC bits exceeds the "
             f"{spec.width}-bit recovery capacity; reduce the symbol size"
         )
-    layout = ampdu_layout(ampdu, spec)[mpdu_index]
-    symbols = eligible_symbols(layout, symbol_map, spec.width)
+    symbols = _eligible_range(layout, symbol_map, spec.width)
     if not symbols:
         raise ValueError(
             f"mpdu {mpdu_index}: no symbol fits the body with a "
@@ -332,16 +321,35 @@ def locate_window(
     )
 
 
+def locate_window(
+    ampdu: Ampdu,
+    mpdu_index: int,
+    spec: CrcSpec,
+    symbol_map: SymbolMap = SymbolMap(),
+    policy: WindowPolicy = WindowPolicy(),
+) -> ModulationWindow:
+    """Pick the modulated symbol for one MPDU and its recovery window.
+
+    The recovery window is spec.width bits starting at the symbol's first
+    bit; it must lie wholly inside the body, so symbols overlapping header
+    or checksum are never eligible.
+    """
+    if not 0 <= mpdu_index < len(ampdu.subframes):
+        raise IndexError(f"mpdu_index {mpdu_index} out of range")
+    layout = ampdu_layout(ampdu, spec)[mpdu_index]
+    return _window(layout, mpdu_index, spec, symbol_map, policy)
+
+
 def locate_windows(
     ampdu: Ampdu,
     spec: CrcSpec,
     symbol_map: SymbolMap = SymbolMap(),
     policy: WindowPolicy = WindowPolicy(),
 ) -> list[ModulationWindow]:
-    """One window per subframe, in subframe order."""
+    """One window per subframe, in subframe order, from one layout pass."""
     return [
-        locate_window(ampdu, i, spec, symbol_map, policy)
-        for i in range(len(ampdu.subframes))
+        _window(layout, i, spec, symbol_map, policy)
+        for i, layout in enumerate(ampdu_layout(ampdu, spec))
     ]
 
 

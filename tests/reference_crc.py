@@ -1,9 +1,11 @@
-"""Independent table-driven CRC reference implementations for the tests.
+"""Independent CRC reference implementations for the tests.
 
 Deliberately separate from the package under test: byte-wise table lookups
 with the reflected (LSB-first) register for CRC-32 and the plain MSB-first
-register for the narrower checks. Expected values come from the published
-check strings ("123456789") of the standard algorithm catalogue.
+register for the narrower checks, plus the bit-serial MSB-first register
+rule itself, forward and rewound, for any width. Expected values come from
+the published check strings ("123456789") of the standard algorithm
+catalogue.
 """
 from __future__ import annotations
 
@@ -70,3 +72,30 @@ CRC16_CCITT_REF = MsbTableCrc(16, 0x1021, 0xFFFF, 0x0000)
 CHECK_CRC32 = 0xCBF43926
 CHECK_CRC8 = 0xF4
 CHECK_CRC16_CCITT = 0x29B1
+
+
+def _bits(data: int, n: int) -> str:
+    """The n low bits of data as a string, first-processed bit first."""
+    return format(data, f"0{n}b")[-n:] if n else ""
+
+
+def serial_forward(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Raw MSB-first register over n data bits, one shift and tap per bit."""
+    mask = (1 << width) - 1
+    for bit in _bits(data, n):
+        feedback = (reg >> (width - 1)) ^ int(bit)
+        reg = (reg << 1) & mask
+        if feedback & 1:
+            reg ^= poly
+    return reg
+
+
+def serial_reverse(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Rewind serial_forward one bit at a time; needs poly with a constant term."""
+    for bit in reversed(_bits(data, n)):
+        # The low bit is 1 exactly when the forward step tapped poly.
+        tapped = reg & 1
+        if tapped:
+            reg ^= poly
+        reg = (reg >> 1) | ((tapped ^ int(bit)) << (width - 1))
+    return reg

@@ -68,6 +68,12 @@ class TestExitCodes:
         assert run(["demod", "--input", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_hex_is_one(self, tmp_path, capsys):
+        bad = tmp_path / "garbage.hex"
+        bad.write_text("00ff0g")
+        assert run(["demod", "--input", str(bad)]) == 1
+        assert "not a hex stream" in capsys.readouterr().err
+
     def test_unknown_spec_is_one(self, capsys):
         assert run(["e2e", "--spec", "crc64"]) == 1
 

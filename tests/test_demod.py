@@ -312,6 +312,29 @@ class TestBruteForce:
         with pytest.raises(CrcCollisionError, match="4 tag candidates"):
             brute_force_demodulate(SPEC, tx, windows, layout)
 
+    def test_independent_of_fast_path(self, monkeypatch):
+        # The oracle keeps its own bit-serial register runs: with every
+        # fast-path register entry point broken it must still decode.
+        rng = random.Random(23)
+        a, windows, layout, tag, tx = make_instance(rng, n_sub=4, body=40)
+        import scattersim.crc as crc_module
+        import scattersim.demod as demod_module
+
+        def broken(*args):
+            raise AssertionError("oracle reached the fast path")
+
+        for module, name in (
+            (demod_module, "bracket_registers"),
+            (demod_module, "crc_forward"),
+            (demod_module, "crc_reverse"),
+            (demod_module, "recover_block"),
+            (crc_module, "_run_forward"),
+            (crc_module, "_run_reverse"),
+        ):
+            monkeypatch.setattr(module, name, broken)
+        bf = brute_force_demodulate(SPEC, tx, windows, layout)
+        assert bf.tag_bits == tag.bits
+
     def test_empty_windows_decode_to_empty(self):
         rng = random.Random(22)
         a, windows, layout, tag, tx = make_instance(

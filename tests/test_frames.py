@@ -8,6 +8,7 @@ from scattersim.crc import CRC8, CRC32_FCS, crc_forward
 from scattersim.frames import (
     FrameParseError,
     Mpdu,
+    SubframeLayout,
     SymbolMap,
     WindowPolicy,
     aggregate,
@@ -226,3 +227,26 @@ class TestLocateWindow:
         # (234) + 32 would pass the body end
         a6 = aggregate([build_mpdu(bytes(24), bytes(6), SPEC)])
         assert eligible_symbols(ampdu_layout(a6, SPEC)[0], SymbolMap(), 32) == [8]
+
+    def test_eligible_symbols_match_symbol_walk(self):
+        # Reference: walk the grid symbol by symbol from the first one at or
+        # after the body start, keeping each that leaves room to the FCS.
+        def walk(layout, symbol_map, rec_len):
+            bps = symbol_map.bits_per_symbol
+            k = max(0, -(-(layout.body_start - symbol_map.origin) // bps))
+            out = []
+            while symbol_map.symbol_start(k) + max(bps, rec_len) <= layout.fcs_start:
+                out.append(k)
+                k += 1
+            return out
+
+        rng = random.Random(10)
+        for _ in range(2000):
+            layout = SubframeLayout(
+                rng.randrange(0, 3000), rng.randrange(0, 300), rng.randrange(0, 600), 32
+            )
+            symbol_map = SymbolMap(rng.randrange(1, 40), rng.randrange(0, 4000))
+            rec_len = rng.randrange(1, 40)
+            assert eligible_symbols(layout, symbol_map, rec_len) == walk(
+                layout, symbol_map, rec_len
+            )
