@@ -13,6 +13,7 @@ from .crc import (
     fcs,
     generator_matrix,
     recover_block,
+    register_run,
     spec_from_config,
     state_transition,
     state_transition_inverse,
@@ -40,7 +41,6 @@ from .demod import (
     DemodResult,
     UndecodableError,
     WindowRecord,
-    bracket_registers,
     brute_force_demodulate,
     demodulate_ampdu,
     demodulate_blind,

@@ -8,6 +8,7 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,6 +21,8 @@ from .experiments import (
     TIMING_FIELDS,
     ConfigError,
     ExperimentConfig,
+    random_ampdu,
+    random_tag,
     run_ber_sweep,
     run_e2e,
     run_prr_sweep,
@@ -29,12 +32,10 @@ from .experiments import (
 from .frames import (
     SymbolMap,
     WindowPolicy,
-    aggregate,
-    build_mpdu,
+    bits_to_bytes,
     locate_windows,
     parse_ampdu,
     serialize_ampdu,
-    bits_to_bytes,
 )
 from .gf2 import BitVector
 from .power import load_profiles, total_power
@@ -183,12 +184,8 @@ def _cmd_gen(args, cfg):
     ecfg = build_experiment_config(args, cfg)
     if not args.out:
         raise ConfigError("gen needs --out <frame file>")
-    rng = np.random.default_rng(ecfg.seed)
-    mpdus = [
-        build_mpdu(bytes(ecfg.header_len), rng.bytes(ecfg.body_len), ecfg.spec)
-        for _ in range(ecfg.subframes)
-    ]
-    _write_stream(args.out, serialize_ampdu(aggregate(mpdus), ecfg.spec), args.format)
+    ampdu = random_ampdu(ecfg, np.random.default_rng(ecfg.seed))
+    _write_stream(args.out, serialize_ampdu(ampdu, ecfg.spec), args.format)
     return 0
 
 
@@ -202,11 +199,7 @@ def _cmd_modulate(args, cfg):
     if args.tag_bits is not None:
         tag = TagPayload(BitVector.from_bits(args.tag_bits))
     else:
-        rng = np.random.default_rng(ecfg.seed)
-        value = 0
-        for b in rng.integers(0, 2, len(windows)):
-            value = (value << 1) | int(b)
-        tag = TagPayload(BitVector(value, len(windows)))
+        tag = random_tag(len(windows), np.random.default_rng(ecfg.seed))
     tx = modulate(ampdu, tag, windows, ecfg.spec)
     _write_stream(args.out, bits_to_bytes(tx, ecfg.spec), args.format)
     print(f"tag_bits={tag.bits}")
@@ -325,7 +318,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it costs milliseconds."""
     parser = _Parser(prog="scattersim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

@@ -8,15 +8,19 @@ matrix is invertible for any polynomial with a constant term, an unknown
 R-bit block is recoverable from the register states that bracket it; that
 single fact powers the whole demodulator.
 
-Every register run, forward or rewound, with data or over zeros, goes
-through one linear-time engine: byte-wise table lookup for whole bytes and
-the bit-serial rule for the bits that do not fill a byte. Generator
-matrices exist for the block solve and the algebra's tests, never for
-stepping.
+Every register run with data, forward or rewound, goes through one
+linear-time engine: byte-wise table lookup for whole bytes and the
+bit-serial rule for the bits that do not fill a byte. A rewind over zeros
+is logarithmic instead: square-and-multiply over cached powers of the
+zero-input step, each stored as byte tables. The demodulator needs just
+that: a frame's residue (``register_run``) rewound over the bits after
+its recovery window, then the block solve. Generator matrices exist for
+the block solve and the algebra's tests, never for stepping.
 
 All register math runs MSB-first (left-shift register). The ``reflected``
-flag only changes bit mapping at the fcs() value boundary and at frame
-serialization; it never leaks into the algebra.
+flag only changes bit mapping at the fcs() value boundary, inside
+register_run's stdlib branch and at frame serialization; it never leaks
+into the algebra.
 """
 from __future__ import annotations
 
@@ -152,17 +156,81 @@ def _run_forward(width: int, poly: int, reg: int, data: int, n: int) -> int:
     return _step_bits(width, poly, reg, data & 0xFF, tail)
 
 
-def _run_reverse(width: int, poly: int, reg: int, data: int, n: int) -> int:
-    """Exact inverse of _run_forward over the same data bits, in O(n)."""
+def _rewind_tables(width: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The byte rewind tables, or ValueError when the steps cannot be undone."""
     _, rewind, unrun = _tables(width, poly)
     if not rewind:
         raise ValueError(
             "polynomial has no constant term; register steps cannot be rewound"
         )
+    return rewind, unrun
+
+
+def _run_reverse(width: int, poly: int, reg: int, data: int, n: int) -> int:
+    """Exact inverse of _run_forward over the same data bits, in O(n)."""
+    rewind, unrun = _rewind_tables(width, poly)
     tail = n % 8
     reg = _unstep_bits(width, poly, reg, data & 0xFF, tail)
     for byte in reversed((data >> tail).to_bytes(n // 8, "big")):
         reg = (reg >> 8) ^ rewind[reg & 0xFF] ^ unrun[byte]
+    return reg
+
+
+def _apply_linear(tables: tuple[tuple[int, ...], ...], reg: int) -> int:
+    """A linear register map stored as one lookup table per register byte."""
+    out = 0
+    for table in tables:
+        out ^= table[reg & 0xFF]
+        reg >>= 8
+    return out
+
+
+@lru_cache(maxsize=64)
+def _zero_rewind_power(width: int, poly: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """A^(-8·2^k), the rewind over 8·2^k zero bits, as per-byte tables.
+
+    The map is linear, so it is stored as ceil(width/8) tables, low
+    register byte first, each built from the images of its byte's basis
+    bits. Level 0 is the byte rewind table; level k squares level k-1, so
+    a rewind over q zero bytes needs only the levels below q's bit length.
+    """
+    if k == 0:
+        rewind = _rewind_tables(width, poly)[0]
+
+        def step(reg: int) -> int:
+            return (reg >> 8) ^ rewind[reg & 0xFF]
+
+    else:
+        half = _zero_rewind_power(width, poly, k - 1)
+
+        def step(reg: int) -> int:
+            return _apply_linear(half, _apply_linear(half, reg))
+
+    tables = []
+    for low in range(0, width, 8):
+        table = [0]
+        for bit in range(low, min(low + 8, width)):
+            image = step(1 << bit)
+            table += [entry ^ image for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _rewind_zeros(width: int, poly: int, reg: int, n: int) -> int:
+    """Rewind the register over n zero bits, in O(log n) table lookups.
+
+    Square-and-multiply: the n % 8 leftover bits step bit-serially, and
+    each set bit k of the byte count n // 8 applies the level-k power.
+    Powers of one map commute, so the order of the factors is free.
+    """
+    _rewind_tables(width, poly)  # refuses a polynomial without a constant term
+    reg = _unstep_bits(width, poly, reg, 0, n % 8)
+    count, k = n >> 3, 0
+    while count:
+        if count & 1:
+            reg = _apply_linear(_zero_rewind_power(width, poly, k), reg)
+        count >>= 1
+        k += 1
     return reg
 
 
@@ -208,7 +276,7 @@ def state_transition_inverse(spec: CrcSpec, state: BitVector, n: int) -> BitVect
     _check_state(spec, state, "state")
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    return BitVector(_run_reverse(spec.width, spec.poly, state.value, 0, n), spec.width)
+    return BitVector(_rewind_zeros(spec.width, spec.poly, state.value, n), spec.width)
 
 
 def generator_matrix(spec: CrcSpec, n: int) -> BitMatrix:
@@ -268,26 +336,38 @@ def recover_block(spec: CrcSpec, front: BitVector, back: BitVector) -> BitVector
     return (back ^ drift) @ _recovery_inverse(spec)
 
 
+def register_run(spec: CrcSpec, bits: BitVector) -> BitVector:
+    """Raw register from the init state over ``bits``, before the final XOR.
+
+    ``bits`` is in processing order, the order the register consumes them
+    (for a reflected spec, each byte LSB-first, as on the wire), and so is
+    the result. The 802.11 preset runs in the stdlib CRC-32, whose value is
+    the reflected, finalized register.
+    """
+    if spec == CRC32_FCS and not len(bits) % 8:
+        crc = zlib.crc32(bits.to_bytes(lsb_first=True)) ^ spec.final_xor
+        return BitVector(crc, 32).reversed_bits()
+    return BitVector(
+        _run_forward(spec.width, spec.poly, spec.init_xor, bits.value, len(bits)),
+        spec.width,
+    )
+
+
 def fcs(spec: CrcSpec, frame_bits: BitVector) -> BitVector:
     """Standardized checksum of a frame: init conditioning, raw run, final XOR.
 
     ``frame_bits`` is in natural order (each byte MSB-first). In reflected
     mode the register consumes each byte LSB-first and the checksum value is
     bit-reversed, which is what wire-conformant 802.11 hardware computes;
-    for that preset the stdlib CRC-32 computes the same value.
+    for that preset the stdlib CRC-32 returns the checksum directly.
     """
-    if spec.reflected:
-        if len(frame_bits) % 8:
-            raise ValueError(
-                f"reflected mode needs whole bytes, got {len(frame_bits)} bits"
-            )
-        if spec == CRC32_FCS:
-            return BitVector(zlib.crc32(frame_bits.to_bytes()), 32)
-        frame_bits = frame_bits.reflect_bytes()
-    raw = _run_forward(
-        spec.width, spec.poly, spec.init_xor, frame_bits.value, len(frame_bits)
-    )
-    out = BitVector(raw, spec.width)
-    if spec.reflected:
-        out = out.reversed_bits()
-    return out ^ spec.final_vector()
+    if not spec.reflected:
+        return register_run(spec, frame_bits) ^ spec.final_vector()
+    if len(frame_bits) % 8:
+        raise ValueError(
+            f"reflected mode needs whole bytes, got {len(frame_bits)} bits"
+        )
+    if spec == CRC32_FCS:
+        return BitVector(zlib.crc32(frame_bits.to_bytes()), 32)
+    raw = register_run(spec, frame_bits.reflect_bytes())
+    return raw.reversed_bits() ^ spec.final_vector()

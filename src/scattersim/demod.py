@@ -1,23 +1,33 @@
 """Single-receiver demodulation of ambient and tag data from one bitstream.
 
-Per MPDU: run the register forward over the bits before the recovery
-window, rewind it from the checksum trailer over the bits after (both
-linear-time runs of the crc engine), and solve the bracketed window
-exactly with the inverse generator matrix. XOR of the recovered block with
-the received window isolates the tag's flip pattern, and a majority vote
-over the window decides the tag bit.
+Per MPDU, in syndrome form (``tag_pattern = S · A^(-s) · G_R^(-1)``):
+
+1. Residue S: the raw register over the received content XOR the
+   unfinalized trailer, one forward run through ``crc.register_run``. It
+   is zero exactly when the checksum verifies.
+2. Rewind S over the s zero-input steps of the bits after the recovery
+   window, logarithmic in s. This is the paper's bracketing of the window
+   between a forward and a rewound register, folded into one map:
+   ``bracket_registers`` returns the zero state and the rewound residue.
+3. Solve: the inverse generator matrix turns the rewound residue into the
+   tag's flip pattern inside the window.
+
+The received window XOR the pattern is the recovered ambient block, and a
+majority vote over the pattern decides the tag bit. The frame verifies
+after un-flipping exactly when the pattern is that bit's modulation, so no
+re-check run is needed.
 
 A brute-force demodulator (enumerate every tag candidate, un-flip, verify
 each MPDU's checksum) serves as the independent cross-check; it is
-exponential in the tag bit count where the bracketing path is linear. It
-steps its registers with its own bit-serial runs and shares no register
-code with the path it checks.
+exponential in the tag bit count where the syndrome path is linear. It
+brackets each window with its own bit-serial register runs and shares no
+register code with the path it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crc import CrcSpec, crc_forward, crc_reverse, recover_block
+from .crc import CrcSpec, recover_block, register_run, state_transition_inverse
 from .frames import (
     DEFAULT_HEADER_LEN,
     ModulationWindow,
@@ -61,29 +71,30 @@ class DemodResult:
     tag_bits: BitVector
 
 
+def _vote(spec: CrcSpec, pattern: BitVector) -> tuple[int, int, int]:
+    ones = pattern.popcount()
+    half = spec.width // 2
+    tag_bit = 1 if ones > half else 0
+    return ones, tag_bit, abs(ones - half)
+
+
 def bracket_registers(
     spec: CrcSpec,
     mpdu_bits: BitVector,
     fcs_bits: BitVector,
     window: ModulationWindow,
 ) -> tuple[BitVector, BitVector]:
-    """Register states immediately before and after the recovery window.
+    """Register states just before and just after the window's flip pattern.
 
-    The front register is the prefix's forward run from the init state; the
-    back register rewinds over the suffix from the raw final register,
-    which is the received trailer stripped of its final XOR.
+    The syndrome form of bracketing the recovery window: the flip pattern
+    runs from the zero state onto the residue (raw register over the
+    received content XOR the unfinalized trailer) rewound over the bits
+    after the window. The residue is zero exactly when the checksum
+    verifies.
     """
-    rec = window.recovery_range
-    front = crc_forward(spec, spec.init_state(), mpdu_bits[: rec.start])
-    back = crc_reverse(spec, fcs_bits ^ spec.final_vector(), mpdu_bits[rec.stop :])
-    return front, back
-
-
-def _vote(spec: CrcSpec, pattern: BitVector) -> tuple[int, int, int]:
-    ones = pattern.popcount()
-    half = spec.width // 2
-    tag_bit = 1 if ones > half else 0
-    return ones, tag_bit, abs(ones - half)
+    residue = register_run(spec, mpdu_bits) ^ fcs_bits ^ spec.final_vector()
+    rewind = len(mpdu_bits) - window.recovery_range.stop
+    return BitVector.zeros(spec.width), state_transition_inverse(spec, residue, rewind)
 
 
 def demodulate_mpdu(
@@ -95,30 +106,25 @@ def demodulate_mpdu(
     ambient_ok flag reports whether un-flipping the decoded tag bit makes
     the received frame's checksum verify.
     """
-    width = spec.width
-    content = received_mpdu_bits[: len(received_mpdu_bits) - width]
-    fcs_field = received_mpdu_bits[len(received_mpdu_bits) - width :]
-    front, back = bracket_registers(spec, content, fcs_field, window)
-    recovered = recover_block(spec, front, back)
+    n = len(received_mpdu_bits) - spec.width
+    content = received_mpdu_bits[:n]
     rec = window.recovery_range
+    zero, syndrome = bracket_registers(spec, content, received_mpdu_bits[n:], window)
+    pattern = recover_block(spec, zero, syndrome)
     received_window = content[rec.start : rec.stop]
-    pattern = recovered ^ received_window
     ones, tag_bit, margin = _vote(spec, pattern)
-    # Un-flipping the decoded tag bit must make the frame checksum verify;
-    # prefix and suffix contributions are already folded into the brackets,
-    # so only the window span needs stepping.
-    candidate = (
-        received_window.flip_range(0, window.mod_len) if tag_bit else received_window
-    )
-    ambient_ok = crc_forward(spec, front, candidate) == back
+    # Only the recovered block makes the checksum verify (the window maps
+    # bijectively onto the register after it), so un-flipping the decoded
+    # bit verifies exactly when the pattern is that bit's modulation.
+    expected = zero.flip_range(0, window.mod_len) if tag_bit else zero
     return WindowRecord(
         mpdu_index=window.mpdu_index,
-        recovered_ambient=recovered,
+        recovered_ambient=received_window ^ pattern,
         tag_pattern=pattern,
         ones_count=ones,
         tag_bit=tag_bit,
         margin=margin,
-        ambient_ok=ambient_ok,
+        ambient_ok=pattern == expected,
     )
 
 

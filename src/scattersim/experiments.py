@@ -78,20 +78,27 @@ def point_seed(master_seed: int, value) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[master_seed & 0xFFFFFFFFFFFFFFFF, key])
 
 
+def random_ampdu(cfg: ExperimentConfig, rng: np.random.Generator) -> Ampdu:
+    """Aggregate of zero-header MPDUs with random bodies."""
+    return aggregate(
+        [
+            build_mpdu(bytes(cfg.header_len), rng.bytes(cfg.body_len), cfg.spec)
+            for _ in range(cfg.subframes)
+        ]
+    )
+
+
 def _random_frame(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[Ampdu, list, list]:
     """Random-payload aggregate plus its windows and layout."""
-    mpdus = [
-        build_mpdu(bytes(cfg.header_len), rng.bytes(cfg.body_len), cfg.spec)
-        for _ in range(cfg.subframes)
-    ]
-    ampdu = aggregate(mpdus)
+    ampdu = random_ampdu(cfg, rng)
     windows = locate_windows(ampdu, cfg.spec, cfg.symbol_map, cfg.policy)
     return ampdu, windows, ampdu_layout(ampdu, cfg.spec)
 
 
-def _random_tag(n: int, rng: np.random.Generator) -> TagPayload:
+def random_tag(n: int, rng: np.random.Generator) -> TagPayload:
+    """n uniform tag bits, the first drawn first."""
     value = 0
     for b in rng.integers(0, 2, n):
         value = (value << 1) | int(b)
@@ -125,7 +132,7 @@ def _run_trial(
     """One frame through the pipeline; returns sent tag, result, and the
     number of windows whose recovered block matches the clean frame."""
     ampdu, windows, layout = _random_frame(cfg, rng)
-    tag = _random_tag(len(windows), rng)
+    tag = random_tag(len(windows), rng)
     rx = _transmit(cfg, ampdu, tag, windows, rng)
     result = demodulate_ampdu(cfg.spec, rx, windows, layout)
     truth = _ground_truth_windows(ampdu, windows, layout, cfg.spec)
@@ -256,7 +263,7 @@ def _median_ns(fn, reps: int) -> int:
 
 
 def run_timing(cfg: ExperimentConfig) -> list[dict]:
-    """Median decode times: register-bracketing path vs brute-force search."""
+    """Median decode times: the syndrome-form checksum path vs brute-force search."""
     if not cfg.tag_bit_counts:
         raise ConfigError("timing run needs a non-empty tag_bit_counts list")
     for n in cfg.tag_bit_counts:
@@ -274,7 +281,7 @@ def run_timing(cfg: ExperimentConfig) -> list[dict]:
         rng = np.random.default_rng(point_seed(cfg.seed, int(n)))
         ampdu, windows, layout = _random_frame(point_cfg, rng)
         windows = windows[: int(n)]
-        tag = _random_tag(len(windows), rng)
+        tag = random_tag(len(windows), rng)
         rx = _transmit(point_cfg, ampdu, tag, windows, rng)
         spec = cfg.spec
         crc_ns = _median_ns(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crc import CrcSpec, crc_forward, fcs
+from .crc import CrcSpec, fcs
 from .gf2 import BitVector
 
 DEFAULT_HEADER_LEN = 24
@@ -352,12 +352,3 @@ def locate_windows(
         for i, layout in enumerate(ampdu_layout(ampdu, spec))
     ]
 
-
-def raw_final_state(mpdu_bits: BitVector, fcs_field: BitVector, spec: CrcSpec) -> bool:
-    """Check stream-level consistency: raw register over content hits the trailer.
-
-    Diagnostic used by tests; the serialized trailer equals the raw final
-    register XOR final_xor in processing order for both bit-order modes.
-    """
-    final = crc_forward(spec, spec.init_state(), mpdu_bits)
-    return final == fcs_field ^ spec.final_vector()

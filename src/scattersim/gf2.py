@@ -187,12 +187,11 @@ class BitVector:
         )
 
     def reversed_bits(self) -> "BitVector":
-        acc = 0
-        v = self._value
-        for _ in range(self._length):
-            acc = (acc << 1) | (v & 1)
-            v >>= 1
-        return BitVector(acc, self._length)
+        if not self._length:
+            return self
+        return BitVector(
+            int(format(self._value, f"0{self._length}b")[::-1], 2), self._length
+        )
 
     def reflect_bytes(self) -> "BitVector":
         """Reverse bit order within each byte."""

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from scattersim import cli
 from scattersim.cli import load_config_file, main
 
 
@@ -46,6 +48,56 @@ class TestFilePipeline:
         first = capsys.readouterr().out
         run(["modulate", "--input", str(frame), "--seed", "9", "--out", str(tx)])
         assert capsys.readouterr().out == first
+
+    def test_gen_and_modulate_bytes_are_pinned(self, tmp_path, capsys):
+        # The frame and stream files of a fixed seed must not change: gen
+        # and modulate draw bodies and tags through the experiment harness.
+        cfg16 = tmp_path / "c16.txt"
+        cfg16.write_text("bits_per_symbol=12\n")
+        paths = {name: str(tmp_path / name)
+                 for name in ("frame.hex", "tx.hex", "f16.bin", "t16.bin")}
+        assert run(["gen", "--seed", "5", "--subframes", "3", "--body-len", "40",
+                    "--out", paths["frame.hex"]]) == 0
+        assert run(["modulate", "--input", paths["frame.hex"], "--seed", "8",
+                    "--out", paths["tx.hex"]]) == 0
+        assert run(["gen", "--seed", "5", "--subframes", "2", "--body-len", "12",
+                    "--spec", "crc16-ccitt", "--format", "bin",
+                    "--out", paths["f16.bin"]]) == 0
+        assert run(["modulate", "--config", str(cfg16), "--spec", "crc16-ccitt",
+                    "--format", "bin", "--input", paths["f16.bin"], "--seed", "2",
+                    "--out", paths["t16.bin"]]) == 0
+        assert capsys.readouterr().out == "tag_bits=100\ntag_bits=10\n"
+        digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == {
+            "frame.hex": "2846e3efc5e3407766dcb2a5b4c4778ab6ba2b86940cbd1279be560359dfd89f",
+            "tx.hex": "6cbfb36e54789d1b13b09112ea67aba07f53b97dfb445a936a8ac133b33d7236",
+            "f16.bin": "91a822b65d92f52d5e11d55eb747c1300978b790d9cd8595ba57610e046f1bba",
+            "t16.bin": "4d5dd8c7649f843faddf1b4f549309722a5d854bb6e9a82d85c1d9474833c3d2",
+        }
+
+
+class TestParserReuse:
+    def test_successive_calls_share_no_option_state(self, tmp_path, capsys):
+        # The parser is built once per process; each call must still see
+        # only its own flags and the declared defaults.
+        frame = tmp_path / "frame.bin"
+        assert run(["gen", "--seed", "1", "--subframes", "2", "--body-len", "8",
+                    "--format", "bin", "--out", str(frame)]) == 0
+        out = tmp_path / "e2e.csv"
+        assert run(["e2e", "--frames", "2", "--subframes", "2", "--body-len", "8",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+        hex_frame = tmp_path / "frame.hex"
+        assert run(["gen", "--seed", "1", "--subframes", "2", "--body-len", "8",
+                    "--out", str(hex_frame)]) == 0
+        # --format fell back to hex: the same frame, written as hex text.
+        assert bytes.fromhex(hex_frame.read_text()) == frame.read_bytes()
+        assert run(["e2e", "--channel", "quantum"]) == 1
+        assert run(["demod", "--bogus"]) == 1
+        assert capsys.readouterr().err.count("config error") == 2
+        assert run(["energy", "--out", str(tmp_path / "e.csv")]) == 0
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestExitCodes:

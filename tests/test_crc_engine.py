@@ -3,8 +3,8 @@
 Every register run in the package goes through one engine: whole bytes by
 table lookup, leftover bits by the bit-serial rule. These tests hold it to
 the bit-serial rule in ``reference_crc`` at every bit count modulo 8, to the
-table-driven checksum references, and, through ``bracket_registers``, on
-whole noisy MPDUs.
+table-driven checksum references, and, through the syndrome-form
+demodulator, to the bit-serial bracketing construction on whole noisy MPDUs.
 """
 import binascii
 import random
@@ -23,20 +23,16 @@ from scattersim.crc import (
     crc_forward,
     crc_reverse,
     fcs,
+    register_run,
     state_transition,
     state_transition_inverse,
 )
-from scattersim.demod import bracket_registers, demodulate_blind
-from scattersim.frames import (
-    SymbolMap,
-    aggregate,
-    ampdu_layout,
-    build_mpdu,
-    locate_windows,
-    serialize_bits,
-)
+from scattersim.demod import demodulate_blind, demodulate_mpdu
+from scattersim.frames import ModulationWindow, aggregate, build_mpdu, serialize_bits
 from scattersim.gf2 import BitVector
-from scattersim.tagsim import ChannelConfig, TagPayload, apply_channel, modulate
+from scattersim.tagsim import ChannelConfig, apply_channel
+
+from bracket_oracle import oracle_record
 
 from reference_crc import (
     CRC8_REF,
@@ -88,13 +84,23 @@ class TestAgainstBitSerial:
 
     def test_zero_runs(self, spec):
         rng = random.Random(100 + spec.width)
-        for n in (0, 1, 7, 8, 9, 31, 32, 33, 777):
+        for n in [8 * q + r for q in (0, 1, 3, 4, 31, 32, 97, 255, 256) for r in range(8)]:
             s = rand_bits(rng, spec.width)
             zeros = BitVector.zeros(n)
             assert state_transition(spec, s, n) == serial_forward_vec(spec, s, zeros)
             assert state_transition_inverse(spec, s, n) == serial_reverse_vec(
                 spec, s, zeros
             )
+
+    def test_long_zero_rewinds(self, spec):
+        # Up to the longest MPDU a 16-bit delimiter can announce; the byte
+        # counts set the highest power alone, every power, and alternate ones.
+        rng = random.Random(150 + spec.width)
+        for n in (8 * 32768 + 3, 8 * 43690 + 5, 8 * 65535 + 7):
+            s = rand_bits(rng, spec.width)
+            back = state_transition_inverse(spec, s, n)
+            assert back == serial_reverse_vec(spec, s, BitVector.zeros(n))
+            assert state_transition(spec, back, n) == s
 
     def test_every_single_byte(self, spec):
         # All 256 table entries, forward and rewound, from a random state.
@@ -116,7 +122,7 @@ class TestAgainstBitSerial:
 
 
 @given(
-    width=st.integers(1, 40),
+    width=st.integers(1, 80),
     data=st.data(),
     n=st.integers(0, 80),
 )
@@ -129,6 +135,9 @@ def test_any_width_and_polynomial(width, data, n):
     assert crc_forward(spec, s, d) == serial_forward_vec(spec, s, d)
     if poly & 1:
         assert crc_reverse(spec, s, d) == serial_reverse_vec(spec, s, d)
+        assert state_transition_inverse(spec, s, 8 * n + n % 8) == serial_reverse_vec(
+            spec, s, BitVector.zeros(8 * n + n % 8)
+        )
 
 
 class TestFcs:
@@ -154,6 +163,15 @@ class TestFcs:
             table = raw.reversed_bits() ^ CRC32_FCS.final_vector()
             assert fcs(CRC32_FCS, BitVector.from_bytes(data)) == table
 
+    def test_register_run_stdlib_branch_matches_table_path(self):
+        # register_run returns the register in processing order; for the
+        # 802.11 preset it reads it off the stdlib CRC-32.
+        rng = random.Random(303)
+        for n in (0, 1, 7, 8, 9, 40, 720, 12192):
+            bits = BitVector(rng.getrandbits(n), n)
+            expected = crc_forward(CRC32_FCS, CRC32_FCS.init_state(), bits)
+            assert register_run(CRC32_FCS, bits) == expected
+
     def test_reflected_spec_off_the_stdlib_path(self):
         # Same register as the 802.11 FCS without the final XOR, so it takes
         # the generic reflected path and must still match the reference.
@@ -172,34 +190,34 @@ class TestFcs:
         )
 
 
-def test_brackets_match_bit_serial_on_noisy_mpdus():
+def test_syndrome_path_matches_bit_serial_brackets():
+    # demodulate_mpdu (residue, zero rewind, solve) against the bracketing
+    # construction run bit-serially in the test, on hand-serialized MPDUs:
+    # the trailer is the raw final register XOR final_xor in processing
+    # order, which also lets a 5-bit register carry one.
     rng = random.Random(400)
-    pipelines = (
-        (CRC8, SymbolMap(bits_per_symbol=6)),
-        (CRC16_CCITT, SymbolMap(bits_per_symbol=12)),
-        (CRC32_FCS, SymbolMap()),
-    )
-    for spec, symbol_map in pipelines:
-        for trial in range(8):
-            bodies = [rng.randrange(4, 600) for _ in range(4)]
-            a = aggregate([build_mpdu(bytes(24), rng.randbytes(b), spec) for b in bodies])
-            windows = locate_windows(a, spec, symbol_map)
-            layout = ampdu_layout(a, spec)
-            tag = TagPayload(rand_bits(rng, len(windows)))
-            tx = modulate(a, tag, windows, spec)
-            rx = apply_channel(tx, ChannelConfig("bsc", ber=2e-3, seed=trial))
-            for w in windows:
-                sf = layout[w.mpdu_index]
-                mpdu = rx[sf.mpdu_start : sf.mpdu_end]
-                content, trailer = mpdu[: -spec.width], mpdu[-spec.width :]
-                rec = w.recovery_range
-                front, back = bracket_registers(spec, content, trailer, w)
-                assert front == serial_forward_vec(
-                    spec, spec.init_state(), content[: rec.start]
-                )
-                assert back == serial_reverse_vec(
-                    spec, trailer ^ spec.final_vector(), content[rec.stop :]
-                )
+    symbol_bits = {5: 3, 8: 6, 16: 12, 32: 26}
+    for spec in ENGINE_SPECS:
+        mod_len = symbol_bits[spec.width]
+        verdicts = set()
+        for trial in range(30):
+            n = 8 * (24 + rng.randrange(4, 601))
+            content = rand_bits(rng, n)
+            raw = serial_forward(spec.width, spec.poly, spec.init_xor, content.value, n)
+            mpdu = content + BitVector(raw ^ spec.final_xor, spec.width)
+            start = rng.choice(
+                [8 * 24, n - spec.width, rng.randrange(8 * 24, n - spec.width + 1)]
+            )
+            window = ModulationWindow(trial, 0, start, mod_len, spec.width)
+            if rng.getrandbits(1):
+                mpdu = mpdu.flip_range(start, start + mod_len)
+            ber = rng.choice((0.0, 1e-4, 2e-3))
+            channel = ChannelConfig("bsc", ber=ber, seed=trial) if ber else ChannelConfig()
+            rx = apply_channel(mpdu, channel)
+            record = demodulate_mpdu(spec, rx, window)
+            assert record == oracle_record(spec, rx, window), (spec, trial)
+            verdicts.add(record.ambient_ok)
+        assert verdicts == {True, False}, spec
 
 
 class TestNoConstantTerm:
@@ -231,7 +249,8 @@ def test_caches_stay_bounded_over_many_lengths():
         result = demodulate_blind(CRC32_FCS, serialize_bits(a, CRC32_FCS))
         assert all(r.ambient_ok for r in result.records)
     caches = [f for f in vars(crc).values() if hasattr(f, "cache_info")]
-    assert caches
+    assert crc._zero_rewind_power in caches
+    assert crc._zero_rewind_power.cache_info().currsize > 0
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f

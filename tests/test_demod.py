@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scattersim.crc import CRC8, CRC16_CCITT, CRC32_FCS, crc_forward, crc_reverse
+from scattersim.crc import CRC8, CRC16_CCITT, CRC32_FCS, crc_forward, recover_block
 from scattersim.demod import (
     CrcCollisionError,
     UndecodableError,
@@ -14,6 +14,7 @@ from scattersim.demod import (
 )
 from scattersim.frames import (
     FrameParseError,
+    ModulationWindow,
     SymbolMap,
     aggregate,
     ampdu_layout,
@@ -23,6 +24,8 @@ from scattersim.frames import (
 )
 from scattersim.gf2 import BitVector
 from scattersim.tagsim import ChannelConfig, TagPayload, apply_channel, modulate
+
+from bracket_oracle import brackets, oracle_record
 
 SPEC = CRC32_FCS
 
@@ -52,56 +55,84 @@ def mpdu_slice(bits, layout, i):
     return bits[sf.mpdu_start : sf.mpdu_end]
 
 
-class TestBracketRegisters:
-    def test_empty_prefix_gives_init_state(self):
-        rng = random.Random(0)
-        a, windows, layout, tag, tx = make_instance(rng, n_sub=1, body=8)
-        w = windows[0]
-        # Build a synthetic window at offset 0 so the prefix is empty.
-        from scattersim.frames import ModulationWindow
+class TestSyndromePath:
+    """demodulate_mpdu against the bracketing construction it folds away."""
 
+    def test_window_at_mpdu_start(self):
+        # Empty prefix: the front bracket is the init state itself.
+        rng = random.Random(0)
+        a, _, layout, _, _ = make_instance(rng, n_sub=1, body=8)
         w0 = ModulationWindow(0, 0, 0, 26, 32)
         mpdu = mpdu_slice(serialize_bits(a, SPEC), layout, 0)
-        content, trailer = mpdu[:-32], mpdu[-32:]
-        front, _ = bracket_registers(SPEC, content, trailer, w0)
+        front, _ = brackets(SPEC, mpdu, w0)
         assert front == SPEC.init_state()
+        rec = demodulate_mpdu(SPEC, mpdu, w0)
+        assert rec == oracle_record(SPEC, mpdu, w0)
+        assert rec.tag_pattern == BitVector.zeros(32) and rec.ambient_ok
 
-    def test_empty_suffix_gives_unfinalized_trailer(self):
+    def test_window_against_trailer(self):
+        # Empty suffix: no zero rewind, the back bracket is the trailer
+        # without its final XOR.
         rng = random.Random(1)
-        a, windows, layout, _, _ = make_instance(rng, n_sub=1, body=8)
-        from scattersim.frames import ModulationWindow
-
+        a, _, layout, _, _ = make_instance(rng, n_sub=1, body=8)
         mpdu = mpdu_slice(serialize_bits(a, SPEC), layout, 0)
         content, trailer = mpdu[:-32], mpdu[-32:]
         w = ModulationWindow(0, 0, len(content) - 32, 26, 32)
-        _, back = bracket_registers(SPEC, content, trailer, w)
+        _, back = brackets(SPEC, mpdu, w)
         assert back == trailer ^ SPEC.final_vector()
+        for seed in range(10):
+            noisy = apply_channel(mpdu, ChannelConfig("bsc", ber=0.01, seed=seed))
+            assert demodulate_mpdu(SPEC, noisy, w) == oracle_record(SPEC, noisy, w)
 
-    def test_forward_consistency_noiseless_tag_zero(self):
+    def test_clean_tag_zero_has_zero_pattern(self):
+        # A frame that verifies has a zero residue, so a zero pattern, and
+        # the recovered block is the received window.
         rng = random.Random(2)
         for _ in range(20):
             a, windows, layout, _, _ = make_instance(
                 rng, n_sub=1, body=32, tag_bits=BitVector.zeros(1)
             )
             mpdu = mpdu_slice(serialize_bits(a, SPEC), layout, 0)
-            content, trailer = mpdu[:-32], mpdu[-32:]
             w = windows[0]
-            front, back = bracket_registers(SPEC, content, trailer, w)
-            rec = w.recovery_range
-            assert crc_forward(SPEC, front, content[rec.start : rec.stop]) == back
+            rec = demodulate_mpdu(SPEC, mpdu, w)
+            assert rec.tag_pattern == BitVector.zeros(32)
+            assert rec.ambient_ok and rec.tag_bit == 0
+            r = w.recovery_range
+            assert rec.recovered_ambient == mpdu[r.start : r.stop]
 
-    def test_matches_bit_serial_route(self):
+    def test_matches_bit_serial_brackets(self):
         rng = random.Random(3)
-        a, windows, layout, _, tx = make_instance(rng, n_sub=2, body=48)
-        mpdu = mpdu_slice(tx, layout, 1)
-        content, trailer = mpdu[:-32], mpdu[-32:]
-        w = windows[1]
-        front, back = bracket_registers(SPEC, content, trailer, w)
-        rec = w.recovery_range
-        assert front == crc_forward(SPEC, SPEC.init_state(), content[: rec.start])
-        assert back == crc_reverse(
-            SPEC, trailer ^ SPEC.final_vector(), content[rec.stop :]
-        )
+        for spec, symbol_map in PIPELINES:
+            a, windows, layout, _, tx = make_instance(
+                rng, spec=spec, symbol_map=symbol_map, n_sub=2, body=48
+            )
+            for seed in range(10):
+                rx = apply_channel(tx, ChannelConfig("bsc", ber=2e-3, seed=seed))
+                for w in windows:
+                    mpdu = mpdu_slice(rx, layout, w.mpdu_index)
+                    assert demodulate_mpdu(spec, mpdu, w) == oracle_record(spec, mpdu, w)
+
+
+    def test_bracket_registers_bracket_the_flip_pattern(self):
+        # The syndrome-form brackets run from the zero state over the flip
+        # pattern that the bit-serial brackets solve for.
+        rng = random.Random(5)
+        for spec, symbol_map in PIPELINES:
+            a, windows, layout, _, tx = make_instance(
+                rng, spec=spec, symbol_map=symbol_map, n_sub=2, body=40
+            )
+            for seed in range(5):
+                rx = apply_channel(tx, ChannelConfig("bsc", ber=2e-3, seed=seed))
+                for w in windows:
+                    mpdu = mpdu_slice(rx, layout, w.mpdu_index)
+                    content, trailer = mpdu[: -spec.width], mpdu[-spec.width :]
+                    front, back = bracket_registers(spec, content, trailer, w)
+                    r = w.recovery_range
+                    pattern = recover_block(spec, *brackets(spec, mpdu, w)) ^ content[
+                        r.start : r.stop
+                    ]
+                    assert front == BitVector.zeros(spec.width)
+                    assert crc_forward(spec, front, pattern) == back
 
 
 class TestDemodulateMpdu:
@@ -193,8 +224,7 @@ class TestDemodulateMpdu:
         for seed in range(20):
             noisy = apply_channel(tx, ChannelConfig("bsc", ber=0.05, seed=seed))
             mpdu = mpdu_slice(noisy, layout, 0)
-            content, trailer = mpdu[:-32], mpdu[-32:]
-            front, back = bracket_registers(SPEC, content, trailer, w)
+            front, back = brackets(SPEC, mpdu, w)
             rec = demodulate_mpdu(SPEC, mpdu, w)
             assert crc_forward(SPEC, front, rec.recovered_ambient) == back
 
@@ -325,11 +355,13 @@ class TestBruteForce:
 
         for module, name in (
             (demod_module, "bracket_registers"),
-            (demod_module, "crc_forward"),
-            (demod_module, "crc_reverse"),
+            (demod_module, "register_run"),
+            (crc_module, "register_run"),
+            (demod_module, "state_transition_inverse"),
             (demod_module, "recover_block"),
             (crc_module, "_run_forward"),
             (crc_module, "_run_reverse"),
+            (crc_module, "_rewind_zeros"),
         ):
             monkeypatch.setattr(module, name, broken)
         bf = brute_force_demodulate(SPEC, tx, windows, layout)

@@ -60,6 +60,13 @@ class TestBitVector:
         v = BitVector.from_bytes(b"\x01\x80")
         assert v.reflect_bytes().to_bytes() == b"\x80\x01"
 
+    def test_reversed_bits(self):
+        rng = random.Random(5)
+        for n in (0, 1, 5, 8, 32, 77):
+            v = random_vector(rng, n)
+            assert list(v.reversed_bits()) == list(v)[::-1]
+            assert len(v.reversed_bits()) == n
+
     def test_unit_and_popcount(self):
         e = BitVector.unit(6, 2)
         assert str(e) == "001000"
