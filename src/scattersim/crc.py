@@ -13,9 +13,12 @@ linear-time engine: byte-wise table lookup for whole bytes and the
 bit-serial rule for the bits that do not fill a byte. A rewind over zeros
 is logarithmic instead: square-and-multiply over cached powers of the
 zero-input step, each stored as byte tables. The demodulator needs just
-that: a frame's residue (``register_run``) rewound over the bits after
-its recovery window, then the block solve. Generator matrices exist for
-the block solve and the algebra's tests, never for stepping.
+that: a frame's residue (``residue``, one ``register_run``) rewound over
+the bits after its recovery window, then the block solve.
+``syndrome_map`` folds the rewind and the solve into one width x width
+map per window position, which the batched experiments apply. Generator
+matrices exist for the block solve and the algebra's tests, never for
+stepping.
 
 All register math runs MSB-first (left-shift register). The ``reflected``
 flag only changes bit mapping at the fcs() value boundary, inside
@@ -332,8 +335,27 @@ def recover_block(spec: CrcSpec, front: BitVector, back: BitVector) -> BitVector
     """
     _check_state(spec, front, "front register")
     _check_state(spec, back, "back register")
-    drift = state_transition(spec, front, spec.width)
-    return (back ^ drift) @ _recovery_inverse(spec)
+    if front.value:
+        # The zero state has no drift: zero input keeps it at zero.
+        back ^= state_transition(spec, front, spec.width)
+    return back @ _recovery_inverse(spec)
+
+
+def syndrome_map(spec: CrcSpec, rewind: int) -> BitMatrix:
+    """The width x width decode map ``A^(-rewind) · G_R^(-1)``.
+
+    A received MPDU's residue times this map is the flip pattern of the
+    recovery window that ends ``rewind`` content bits before the trailer,
+    the syndrome form of bracketing. Row i is the image of basis state i
+    under the same zero rewind and block solve that ``demod`` applies to
+    one residue.
+    """
+    zero = BitVector.zeros(spec.width)
+    rows = []
+    for i in range(spec.width):
+        rewound = state_transition_inverse(spec, BitVector.unit(spec.width, i), rewind)
+        rows.append(recover_block(spec, zero, rewound).value)
+    return BitMatrix(rows, spec.width)
 
 
 def register_run(spec: CrcSpec, bits: BitVector) -> BitVector:
@@ -351,6 +373,14 @@ def register_run(spec: CrcSpec, bits: BitVector) -> BitVector:
         _run_forward(spec.width, spec.poly, spec.init_xor, bits.value, len(bits)),
         spec.width,
     )
+
+
+def residue(spec: CrcSpec, content: BitVector, trailer: BitVector) -> BitVector:
+    """A received MPDU's residue: the raw register over its content XOR its
+    unfinalized trailer, both in processing order. Zero exactly when the
+    checksum verifies; the flip pattern of any one window is linear in it.
+    """
+    return register_run(spec, content) ^ trailer ^ spec.final_vector()
 
 
 def fcs(spec: CrcSpec, frame_bits: BitVector) -> BitVector:

@@ -2,9 +2,9 @@
 
 Per MPDU, in syndrome form (``tag_pattern = S · A^(-s) · G_R^(-1)``):
 
-1. Residue S: the raw register over the received content XOR the
-   unfinalized trailer, one forward run through ``crc.register_run``. It
-   is zero exactly when the checksum verifies.
+1. Residue S (``crc.residue``): the raw register over the received
+   content XOR the unfinalized trailer, one forward run through
+   ``crc.register_run``. It is zero exactly when the checksum verifies.
 2. Rewind S over the s zero-input steps of the bits after the recovery
    window, logarithmic in s. This is the paper's bracketing of the window
    between a forward and a rewound register, folded into one map:
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crc import CrcSpec, recover_block, register_run, state_transition_inverse
+from .crc import CrcSpec, recover_block, residue, state_transition_inverse
 from .frames import (
     DEFAULT_HEADER_LEN,
     ModulationWindow,
@@ -92,9 +92,9 @@ def bracket_registers(
     after the window. The residue is zero exactly when the checksum
     verifies.
     """
-    residue = register_run(spec, mpdu_bits) ^ fcs_bits ^ spec.final_vector()
     rewind = len(mpdu_bits) - window.recovery_range.stop
-    return BitVector.zeros(spec.width), state_transition_inverse(spec, residue, rewind)
+    syndrome = residue(spec, mpdu_bits, fcs_bits)
+    return BitVector.zeros(spec.width), state_transition_inverse(spec, syndrome, rewind)
 
 
 def demodulate_mpdu(

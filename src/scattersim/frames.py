@@ -169,7 +169,8 @@ def aggregate(mpdus: list[Mpdu]) -> Ampdu:
     return Ampdu(tuple(mpdus))
 
 
-def _fcs_bytes(value: BitVector, spec: CrcSpec) -> bytes:
+def fcs_bytes(value: BitVector, spec: CrcSpec) -> bytes:
+    """A checksum value as its trailer bytes on the wire."""
     if spec.width % 8:
         raise ValueError(f"cannot serialize a {spec.width}-bit checksum to bytes")
     data = value.to_bytes()
@@ -182,7 +183,7 @@ def _fcs_from_bytes(data: bytes, spec: CrcSpec) -> BitVector:
 
 
 def serialize_mpdu(mpdu: Mpdu, spec: CrcSpec) -> bytes:
-    return mpdu.content() + _fcs_bytes(mpdu.fcs, spec)
+    return mpdu.content() + fcs_bytes(mpdu.fcs, spec)
 
 
 def _pad_len(unit_len: int) -> int:

@@ -4,7 +4,9 @@ The tag conveys each bit by 0/180-degree phase rotation of one PHY symbol,
 which at the bit level is XOR of the symbol's bits: backscattered = ambient
 XOR tag. Checksum trailers and everything outside the chosen symbols pass
 through untouched. The channel is a binary symmetric abstraction; AWGN/BPSK
-maps SNR to a flip probability once and then behaves like a BSC.
+maps SNR to a flip probability once and then behaves like a BSC. Flips are
+sampled through their geometric gaps, so a channel costs O(flips), not one
+random draw per bit.
 """
 from __future__ import annotations
 
@@ -25,14 +27,6 @@ class TagPayload:
     """Tag data scheduled across an aggregate, one bit per window."""
 
     bits: BitVector
-    bits_per_mpdu: int = 1
-
-    def __post_init__(self):
-        if self.bits_per_mpdu != 1:
-            raise ValueError(
-                "only one tag bit per MPDU is supported: each MPDU carries a "
-                f"single checksum, got bits_per_mpdu={self.bits_per_mpdu}"
-            )
 
 
 @dataclass(frozen=True)
@@ -97,14 +91,42 @@ def modulate(
     return bits
 
 
+def flip_positions(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted positions in range(n), each drawn independently with probability p.
+
+    Draws the geometric gaps between successive flips, so the cost grows
+    with the number of flips, not with n. Every channel in the package
+    samples its flips here.
+    """
+    chunks = [np.empty(0, np.int64)]
+    last = -1
+    while p > 0.0 and last < n - 1:
+        expected = (n - 1 - last) * p
+        gaps = rng.geometric(p, int(expected + 5.0 * math.sqrt(expected)) + 16)
+        # A gap past the end ends the draw; clipping keeps the sum in int64.
+        at = last + np.cumsum(np.minimum(gaps, n + 1))
+        chunks.append(at[at < n])
+        last = int(at[-1])
+    return np.concatenate(chunks)
+
+
+def flip_bits(buf: np.ndarray, at: np.ndarray, lsb_first: bool = False) -> None:
+    """Invert bits ``at`` of a flat uint8 buffer in place.
+
+    Bit i lives in byte i // 8, counted from the byte's MSB, or from its
+    LSB when ``lsb_first`` (the processing order of a reflected checksum).
+    """
+    shift = at & 7 if lsb_first else 7 - (at & 7)
+    np.bitwise_xor.at(buf, at >> 3, (1 << shift).astype(np.uint8))
+
+
 def apply_channel(bits: BitVector, cfg: ChannelConfig) -> BitVector:
     """Flip each bit independently with the configured probability."""
     p = cfg.flip_probability()
     if p == 0.0 or len(bits) == 0:
         return bits
-    rng = np.random.default_rng(cfg.seed)
-    flips = rng.random(len(bits)) < p
-    mask = int.from_bytes(np.packbits(flips).tobytes(), "big")
-    # packbits pads the tail to a byte boundary; drop the pad bits.
+    mask = np.zeros(-(-len(bits) // 8), np.uint8)
+    flip_bits(mask, flip_positions(np.random.default_rng(cfg.seed), len(bits), p))
+    # The mask's last byte is padded to a byte boundary; drop the pad bits.
     pad = -len(bits) % 8
-    return bits ^ BitVector(mask >> pad, len(bits))
+    return bits ^ BitVector(int.from_bytes(mask.tobytes(), "big") >> pad, len(bits))

@@ -355,7 +355,8 @@ class TestBruteForce:
 
         for module, name in (
             (demod_module, "bracket_registers"),
-            (demod_module, "register_run"),
+            (demod_module, "residue"),
+            (crc_module, "residue"),
             (crc_module, "register_run"),
             (demod_module, "state_transition_inverse"),
             (demod_module, "recover_block"),

@@ -29,12 +29,6 @@ def setup_frame(rng, n_sub=4, body=32):
     return a, locate_windows(a, SPEC), ampdu_layout(a, SPEC)
 
 
-class TestTagPayload:
-    def test_multi_bit_per_mpdu_rejected(self):
-        with pytest.raises(ValueError, match="single checksum"):
-            TagPayload(BitVector.zeros(4), bits_per_mpdu=2)
-
-
 class TestModulate:
     def test_all_zero_tag_is_identity(self):
         rng = random.Random(0)
