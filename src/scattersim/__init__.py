@@ -8,7 +8,6 @@ from .crc import (
     SPEC_PRESETS,
     CrcSpec,
     crc_forward,
-    crc_reverse,
     decompose_check,
     fcs,
     generator_matrix,

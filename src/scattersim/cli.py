@@ -131,53 +131,53 @@ def _resolve_channel(args, cfg: dict) -> ChannelConfig:
 
 
 def _as_tuple(value, cast) -> tuple:
-    if value is None:
-        return ()
     if isinstance(value, (int, float, str)):
         value = [value]
     return tuple(cast(v) for v in value)
 
 
+# (field, flag, config key, cast) of each value a flag or the config file
+# may set; a value that neither sets keeps the default its class declares.
+_EXPERIMENT_FIELDS = [
+    (name, name, name, int)
+    for name in (
+        "frames", "subframes", "body_len", "header_len", "seed", "reps", "brute_cap"
+    )
+] + [
+    ("snr_db_list", "snr_list", "snr_db_list", lambda v: _as_tuple(v, float)),
+    ("ber_list", "ber_list", "ber_list", lambda v: _as_tuple(v, float)),
+    ("tag_bit_counts", "tag_counts", "tag_bit_counts", lambda v: _as_tuple(v, int)),
+]
+_SYMBOL_FIELDS = (
+    ("bits_per_symbol", None, "bits_per_symbol", int),
+    ("origin", None, "symbol_origin", int),
+)
+_POLICY_FIELDS = (("eligible_index", None, "window_policy", int),)
+
+
 def build_experiment_config(args, cfg: dict) -> ExperimentConfig:
-    def pick(flag: str, key: str, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return cfg.get(key, default)
+    """Explicit flags over the config file over the class defaults."""
+
+    def given(fields) -> dict:
+        out = {}
+        for name, flag, key, cast in fields:
+            value = getattr(args, flag, None) if flag else None
+            if value is None:
+                value = cfg.get(key)
+            if value is not None:
+                out[name] = cast(value)
+        return out
 
     try:
         return ExperimentConfig(
-            frames=int(pick("frames", "frames", 10_000)),
-            subframes=int(pick("subframes", "subframes", 10)),
-            body_len=int(pick("body_len", "body_len", 64)),
-            header_len=int(pick("header_len", "header_len", 24)),
             channel=_resolve_channel(args, cfg),
-            seed=int(pick("seed", "seed", 0)),
             spec=_resolve_spec(args, cfg),
-            symbol_map=SymbolMap(
-                bits_per_symbol=int(cfg.get("bits_per_symbol", 26)),
-                origin=int(cfg.get("symbol_origin", 0)),
-            ),
-            policy=WindowPolicy(int(cfg.get("window_policy", 0))),
-            snr_db_list=_as_tuple(pick("snr_list", "snr_db_list", None), float),
-            ber_list=_as_tuple(pick("ber_list", "ber_list", None), float),
-            tag_bit_counts=_as_tuple(pick("tag_counts", "tag_bit_counts", None), int),
-            reps=int(pick("reps", "reps", 30)),
-            brute_cap=int(pick("brute_cap", "brute_cap", 20)),
+            symbol_map=SymbolMap(**given(_SYMBOL_FIELDS)),
+            policy=WindowPolicy(**given(_POLICY_FIELDS)),
+            **given(_EXPERIMENT_FIELDS),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _emit_csv(args, fieldnames, rows) -> None:
-    if args.out:
-        write_csv(args.out, fieldnames, rows)
-    else:
-        import csv as _csv
-
-        writer = _csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _cmd_gen(args, cfg):
@@ -253,14 +253,14 @@ def _cmd_demod(args, cfg):
         }
         for rec in result.records
     ]
-    _emit_csv(args, DEMOD_FIELDS, rows)
+    write_csv(args.out or sys.stdout, DEMOD_FIELDS, rows)
     print(f"tag_bits={result.tag_bits}", file=sys.stderr)
     return 0
 
 
 def _cmd_e2e(args, cfg):
     ecfg = build_experiment_config(args, cfg)
-    _emit_csv(args, E2E_FIELDS, run_e2e(ecfg))
+    write_csv(args.out or sys.stdout, E2E_FIELDS, run_e2e(ecfg))
     return 0
 
 
@@ -268,7 +268,7 @@ def _cmd_sweep_ber(args, cfg):
     if getattr(args, "channel", None) is None and "channel" not in cfg:
         cfg = dict(cfg, channel="awgn")
     ecfg = build_experiment_config(args, cfg)
-    _emit_csv(args, BER_FIELDS, run_ber_sweep(ecfg))
+    write_csv(args.out or sys.stdout, BER_FIELDS, run_ber_sweep(ecfg))
     return 0
 
 
@@ -276,13 +276,13 @@ def _cmd_sweep_prr(args, cfg):
     if getattr(args, "channel", None) is None and "channel" not in cfg:
         cfg = dict(cfg, channel="bsc")
     ecfg = build_experiment_config(args, cfg)
-    _emit_csv(args, PRR_FIELDS, run_prr_sweep(ecfg))
+    write_csv(args.out or sys.stdout, PRR_FIELDS, run_prr_sweep(ecfg))
     return 0
 
 
 def _cmd_timing(args, cfg):
     ecfg = build_experiment_config(args, cfg)
-    _emit_csv(args, TIMING_FIELDS, run_timing(ecfg))
+    write_csv(args.out or sys.stdout, TIMING_FIELDS, run_timing(ecfg))
     return 0
 
 
@@ -301,7 +301,7 @@ def _cmd_energy(args, cfg):
         }
         for name, p in sorted(profiles.items())
     ]
-    _emit_csv(args, ENERGY_FIELDS, rows)
+    write_csv(args.out or sys.stdout, ENERGY_FIELDS, rows)
     return 0
 
 

@@ -8,13 +8,13 @@ matrix is invertible for any polynomial with a constant term, an unknown
 R-bit block is recoverable from the register states that bracket it; that
 single fact powers the whole demodulator.
 
-Every register run with data, forward or rewound, goes through one
-linear-time engine: byte-wise table lookup for whole bytes and the
-bit-serial rule for the bits that do not fill a byte. A rewind over zeros
-is logarithmic instead: square-and-multiply over cached powers of the
-zero-input step, each stored as byte tables. The demodulator needs just
-that: a frame's residue (``residue``, one ``register_run``) rewound over
-the bits after its recovery window, then the block solve.
+The engine has two register operations. A forward run, with data or
+over zeros, is linear-time: one byte table for whole bytes and the
+bit-serial rule for the bits that do not fill a byte. A rewind runs only
+over zeros and is logarithmic: square-and-multiply over cached powers of
+the zero-input step, each stored as byte tables. The demodulator needs
+just that: a frame's residue (``residue``, one ``register_run``) rewound
+over the bits after its recovery window, then the block solve.
 ``syndrome_map`` folds the rewind and the solve into one width x width
 map per window position, which the batched experiments apply. Generator
 matrices exist for the block solve and the algebra's tests, never for
@@ -114,34 +114,24 @@ def _step_bits(width: int, poly: int, reg: int, data: int, n: int) -> int:
     return reg
 
 
-def _unstep_bits(width: int, poly: int, reg: int, data: int, n: int) -> int:
-    """Exact inverse of _step_bits over the same data bits."""
+def _unstep_bits(width: int, poly: int, reg: int, n: int) -> int:
+    """Exact inverse of _step_bits over n zero bits."""
     top = width - 1
-    for i in range(n):
-        bit = (data >> i) & 1
+    for _ in range(n):
         if reg & 1:
-            reg = ((reg ^ poly) >> 1) | ((bit ^ 1) << top)
+            reg = ((reg ^ poly) >> 1) | (1 << top)
         else:
-            reg = (reg >> 1) | (bit << top)
+            reg >>= 1
     return reg
 
 
 @lru_cache(maxsize=16)
-def _tables(width: int, poly: int) -> tuple[tuple[int, ...], ...]:
-    """Byte tables of the register (Sarwate, CACM 1988), cached per (width, poly).
+def _forward_table(width: int, poly: int) -> tuple[int, ...]:
+    """Byte table of the register (Sarwate, CACM 1988), cached per (width, poly).
 
-    ``forward[b]`` is the register after running byte b from the zero state.
-    Rewinding a byte is linear in register and data alike: ``rewind[s]``
-    undoes eight zero steps from the low byte s, and ``unrun[b]`` undoes
-    byte b from the zero state. Both exist only when the polynomial has a
-    constant term; without one they are empty.
+    Entry b is the register after running byte b from the zero state.
     """
-    forward = tuple(_step_bits(width, poly, 0, b, 8) for b in range(256))
-    if not poly & 1:
-        return forward, (), ()
-    rewind = tuple(_unstep_bits(width, poly, s, 0, 8) for s in range(1 << min(width, 8)))
-    unrun = tuple(_unstep_bits(width, poly, 0, b, 8) for b in range(256))
-    return forward, rewind, unrun
+    return tuple(_step_bits(width, poly, 0, b, 8) for b in range(256))
 
 
 def _run_forward(width: int, poly: int, reg: int, data: int, n: int) -> int:
@@ -150,33 +140,13 @@ def _run_forward(width: int, poly: int, reg: int, data: int, n: int) -> int:
     Whole bytes go through the forward table; the n % 8 bits that do not
     fill a byte are stepped bit-serially at the end.
     """
-    forward = _tables(width, poly)[0]
+    forward = _forward_table(width, poly)
     mask = (1 << width) - 1
     tail = n % 8
     for byte in (data >> tail).to_bytes(n // 8, "big"):
         reg <<= 8
         reg = (reg & mask) ^ forward[(reg >> width) ^ byte]
     return _step_bits(width, poly, reg, data & 0xFF, tail)
-
-
-def _rewind_tables(width: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The byte rewind tables, or ValueError when the steps cannot be undone."""
-    _, rewind, unrun = _tables(width, poly)
-    if not rewind:
-        raise ValueError(
-            "polynomial has no constant term; register steps cannot be rewound"
-        )
-    return rewind, unrun
-
-
-def _run_reverse(width: int, poly: int, reg: int, data: int, n: int) -> int:
-    """Exact inverse of _run_forward over the same data bits, in O(n)."""
-    rewind, unrun = _rewind_tables(width, poly)
-    tail = n % 8
-    reg = _unstep_bits(width, poly, reg, data & 0xFF, tail)
-    for byte in reversed((data >> tail).to_bytes(n // 8, "big")):
-        reg = (reg >> 8) ^ rewind[reg & 0xFF] ^ unrun[byte]
-    return reg
 
 
 def _apply_linear(tables: tuple[tuple[int, ...], ...], reg: int) -> int:
@@ -194,14 +164,14 @@ def _zero_rewind_power(width: int, poly: int, k: int) -> tuple[tuple[int, ...], 
 
     The map is linear, so it is stored as ceil(width/8) tables, low
     register byte first, each built from the images of its byte's basis
-    bits. Level 0 is the byte rewind table; level k squares level k-1, so
-    a rewind over q zero bytes needs only the levels below q's bit length.
+    bits. Level 0 takes each image from eight bit-serial zero un-steps;
+    level k squares level k-1, so a rewind over q zero bytes needs only
+    the levels below q's bit length.
     """
     if k == 0:
-        rewind = _rewind_tables(width, poly)[0]
 
         def step(reg: int) -> int:
-            return (reg >> 8) ^ rewind[reg & 0xFF]
+            return _unstep_bits(width, poly, reg, 8)
 
     else:
         half = _zero_rewind_power(width, poly, k - 1)
@@ -226,8 +196,11 @@ def _rewind_zeros(width: int, poly: int, reg: int, n: int) -> int:
     each set bit k of the byte count n // 8 applies the level-k power.
     Powers of one map commute, so the order of the factors is free.
     """
-    _rewind_tables(width, poly)  # refuses a polynomial without a constant term
-    reg = _unstep_bits(width, poly, reg, 0, n % 8)
+    if not poly & 1:
+        raise ValueError(
+            "polynomial has no constant term; register steps cannot be rewound"
+        )
+    reg = _unstep_bits(width, poly, reg, n % 8)
     count, k = n >> 3, 0
     while count:
         if count & 1:
@@ -253,15 +226,6 @@ def crc_forward(spec: CrcSpec, start: BitVector, data: BitVector) -> BitVector:
     _check_state(spec, start, "start state")
     return BitVector(
         _run_forward(spec.width, spec.poly, start.value, data.value, len(data)),
-        spec.width,
-    )
-
-
-def crc_reverse(spec: CrcSpec, end: BitVector, data: BitVector) -> BitVector:
-    """Rewind the register: the exact inverse of crc_forward over ``data``."""
-    _check_state(spec, end, "end state")
-    return BitVector(
-        _run_reverse(spec.width, spec.poly, end.value, data.value, len(data)),
         spec.width,
     )
 
@@ -399,5 +363,5 @@ def fcs(spec: CrcSpec, frame_bits: BitVector) -> BitVector:
         )
     if spec == CRC32_FCS:
         return BitVector(zlib.crc32(frame_bits.to_bytes()), 32)
-    raw = register_run(spec, frame_bits.reflect_bytes())
-    return raw.reversed_bits() ^ spec.final_vector()
+    wire = BitVector.from_bytes(frame_bits.to_bytes(), lsb_first=True)
+    return register_run(spec, wire).reversed_bits() ^ spec.final_vector()

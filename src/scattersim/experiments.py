@@ -36,11 +36,12 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from statistics import median
+from typing import TextIO
 
 import numpy as np
 
 from .crc import SPEC_PRESETS, CrcSpec, fcs, residue, syndrome_map
-from .demod import brute_force_demodulate, demodulate_ampdu
+from .demod import DEFAULT_BRUTE_CAP, brute_force_demodulate, demodulate_ampdu
 from .frames import (
     DEFAULT_HEADER_LEN,
     Ampdu,
@@ -81,7 +82,7 @@ class ExperimentConfig:
     ber_list: tuple[float, ...] = ()
     tag_bit_counts: tuple[int, ...] = ()
     reps: int = 30
-    brute_cap: int = 20
+    brute_cap: int = DEFAULT_BRUTE_CAP
 
     def __post_init__(self):
         if self.frames < 1:
@@ -113,15 +114,6 @@ def random_ampdu(cfg: ExperimentConfig, rng: np.random.Generator) -> Ampdu:
             for _ in range(cfg.subframes)
         ]
     )
-
-
-def _random_frame(
-    cfg: ExperimentConfig, rng: np.random.Generator
-) -> tuple[Ampdu, list, list]:
-    """Random-payload aggregate plus its windows and layout."""
-    ampdu = random_ampdu(cfg, rng)
-    windows = locate_windows(ampdu, cfg.spec, cfg.symbol_map, cfg.policy)
-    return ampdu, windows, ampdu_layout(ampdu, cfg.spec)
 
 
 def random_tag(n: int, rng: np.random.Generator) -> TagPayload:
@@ -452,10 +444,11 @@ def run_timing(cfg: ExperimentConfig) -> list[dict]:
     for n in cfg.tag_bit_counts:
         point_cfg = replace(cfg, subframes=max(int(n), 1))
         rng = np.random.default_rng(point_seed(cfg.seed, int(n)))
-        ampdu, windows, layout = _random_frame(point_cfg, rng)
-        windows = windows[: int(n)]
-        tag = random_tag(len(windows), rng)
         spec = cfg.spec
+        ampdu = random_ampdu(point_cfg, rng)
+        windows = locate_windows(ampdu, spec, cfg.symbol_map, cfg.policy)[: int(n)]
+        layout = ampdu_layout(ampdu, spec)
+        tag = random_tag(len(windows), rng)
         rx = modulate(ampdu, tag, windows, spec)
         crc_ns = _median_ns(
             lambda: demodulate_ampdu(spec, rx, windows, layout), cfg.reps
@@ -476,9 +469,13 @@ def run_timing(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    """Schema-stable CSV: fixed header row, LF endings, repr'd floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def write_csv(out: str | TextIO, fieldnames: list[str], rows: list[dict]) -> None:
+    """Schema-stable CSV to an open text stream or a path: fixed header row,
+    LF endings, repr'd floats."""
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            write_csv(fh, fieldnames, rows)
+        return
+    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)

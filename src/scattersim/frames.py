@@ -83,15 +83,6 @@ class SymbolMap:
     def symbol_start(self, index: int) -> int:
         return self.origin + index * self.bits_per_symbol
 
-    def spans(self, total_bits: int) -> list[tuple[int, int]]:
-        """Symbol spans covering [origin, total_bits); last may be partial."""
-        out = []
-        start = self.origin
-        while start < total_bits:
-            out.append((start, min(start + self.bits_per_symbol, total_bits)))
-            start += self.bits_per_symbol
-        return out
-
 
 @dataclass(frozen=True)
 class WindowPolicy:
@@ -154,8 +145,6 @@ class SubframeLayout:
 
 def build_mpdu(header: bytes, body: bytes, spec: CrcSpec) -> Mpdu:
     """Assemble an MPDU with a freshly computed checksum trailer."""
-    if len(body) < MIN_BODY_LEN:
-        raise ValueError(f"body must be >= {MIN_BODY_LEN} bytes, got {len(body)}")
     header, body = bytes(header), bytes(body)
     return Mpdu(header, body, fcs(spec, BitVector.from_bytes(header + body)))
 

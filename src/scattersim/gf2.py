@@ -69,10 +69,6 @@ class BitVector:
         return cls(0, length)
 
     @classmethod
-    def ones(cls, length: int) -> "BitVector":
-        return cls((1 << length) - 1, length)
-
-    @classmethod
     def from_bits(cls, bits: BitsLike) -> "BitVector":
         value, length = _coerce_bits(bits)
         return cls(value, length)
@@ -173,29 +169,12 @@ class BitVector:
         mask = ((1 << width) - 1) << (self._length - stop)
         return BitVector(self._value ^ mask, self._length)
 
-    def replace(self, start: int, piece: "BitVector") -> "BitVector":
-        """Return a copy with bits [start, start+len(piece)) overwritten."""
-        stop = start + len(piece)
-        if not 0 <= start <= stop <= self._length:
-            raise IndexError(
-                f"range [{start}, {stop}) out of bounds for length {self._length}"
-            )
-        shift = self._length - stop
-        mask = ((1 << len(piece)) - 1) << shift
-        return BitVector(
-            (self._value & ~mask) | (piece._value << shift), self._length
-        )
-
     def reversed_bits(self) -> "BitVector":
         if not self._length:
             return self
         return BitVector(
             int(format(self._value, f"0{self._length}b")[::-1], 2), self._length
         )
-
-    def reflect_bytes(self) -> "BitVector":
-        """Reverse bit order within each byte."""
-        return BitVector.from_bytes(self.to_bytes(), lsb_first=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVector):
@@ -228,29 +207,8 @@ class BitMatrix:
         self._cols = cols
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls((0,) * rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls((1 << (n - 1 - i) for i in range(n)), n)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[BitsLike]) -> "BitMatrix":
-        packed = []
-        cols = None
-        for row in rows:
-            value, length = _coerce_bits(row)
-            if cols is None:
-                cols = length
-            elif length != cols:
-                raise DimensionError(
-                    f"ragged rows: expected {cols} columns, got {length}"
-                )
-            packed.append(value)
-        if cols is None:
-            raise ValueError("matrix needs at least one row")
-        return cls(packed, cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,16 +251,6 @@ class BitMatrix:
             base = base @ base
             e >>= 1
         return result
-
-    def transpose(self) -> "BitMatrix":
-        n, m = self.shape
-        out = []
-        for j in range(m):
-            acc = 0
-            for i in range(n):
-                acc = (acc << 1) | ((self._rows[i] >> (m - 1 - j)) & 1)
-            out.append(acc)
-        return BitMatrix(out, n)
 
     def rank(self) -> int:
         n, m = self.shape

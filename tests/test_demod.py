@@ -151,13 +151,13 @@ class TestDemodulateMpdu:
     def test_noiseless_tag_one(self):
         rng = random.Random(5)
         a, windows, layout, _, tx = make_instance(
-            rng, n_sub=1, tag_bits=BitVector.ones(1)
+            rng, n_sub=1, tag_bits=BitVector(1, 1)
         )
         rec = demodulate_mpdu(SPEC, mpdu_slice(tx, layout, 0), windows[0])
         assert rec.tag_bit == 1
         assert rec.ones_count == 26
         assert rec.margin == 10
-        assert rec.tag_pattern == BitVector.ones(26) + BitVector.zeros(6)
+        assert rec.tag_pattern == BitVector((1 << 26) - 1, 26) + BitVector.zeros(6)
         assert rec.ambient_ok
 
     def test_recovered_ambient_matches_truth(self):
@@ -175,7 +175,7 @@ class TestDemodulateMpdu:
         # reads bits outside the window, so the ambient stays exact.
         rng = random.Random(7)
         a, windows, layout, _, tx = make_instance(
-            rng, n_sub=1, tag_bits=BitVector.ones(1)
+            rng, n_sub=1, tag_bits=BitVector(1, 1)
         )
         w = windows[0]
         clean = serialize_bits(a, SPEC)
@@ -361,7 +361,8 @@ class TestBruteForce:
             (demod_module, "state_transition_inverse"),
             (demod_module, "recover_block"),
             (crc_module, "_run_forward"),
-            (crc_module, "_run_reverse"),
+            (crc_module, "_forward_table"),
+            (crc_module, "_zero_rewind_power"),
             (crc_module, "_rewind_zeros"),
         ):
             monkeypatch.setattr(module, name, broken)

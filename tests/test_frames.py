@@ -156,18 +156,6 @@ class TestSymbolMap:
         with pytest.raises(ValueError):
             SymbolMap(origin=-1)
 
-    def test_partition_covers_stream(self):
-        rng = random.Random(8)
-        a = random_ampdu(rng, n_sub=3)
-        total = len(serialize_bits(a, SPEC))
-        spans = SymbolMap().spans(total)
-        assert spans[0][0] == 0
-        assert spans[-1][1] == total
-        covered = sum(end - start for start, end in spans)
-        assert covered == total
-        full = [s for s in spans if s[1] - s[0] == 26]
-        assert len(full) == total // 26
-
 
 class TestLocateWindow:
     def test_first_eligible_symbol_at_min_body(self):

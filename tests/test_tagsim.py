@@ -42,7 +42,7 @@ class TestModulate:
         rng = random.Random(1)
         a, windows, layout = setup_frame(rng, n_sub=1)
         clean = serialize_bits(a, SPEC)
-        tx = modulate(a, TagPayload(BitVector.ones(1)), windows, SPEC)
+        tx = modulate(a, TagPayload(BitVector(1, 1)), windows, SPEC)
         w = windows[0]
         start = layout[0].mpdu_start + w.mod_start
         for pos in range(len(clean)):
@@ -59,13 +59,13 @@ class TestModulate:
         for bit_value, w in zip(tag.bits, windows):
             start = layout[w.mpdu_index].mpdu_start + w.mod_start
             window_diff = diff[start : start + w.mod_len]
-            expected = BitVector.ones(26) if bit_value else BitVector.zeros(26)
+            expected = BitVector((1 << 26) - 1, 26) if bit_value else BitVector.zeros(26)
             assert window_diff == expected
 
     def test_fcs_fields_untouched(self):
         rng = random.Random(3)
         a, windows, layout = setup_frame(rng)
-        tx = modulate(a, TagPayload(BitVector.ones(4)), windows, SPEC)
+        tx = modulate(a, TagPayload(BitVector(0b1111, 4)), windows, SPEC)
         clean = serialize_bits(a, SPEC)
         for sf in layout:
             assert tx[sf.fcs_start : sf.mpdu_end] == clean[sf.fcs_start : sf.mpdu_end]
